@@ -50,7 +50,7 @@ REWRITE_FACTOR = 4.0
 
 def _check_report_shape(report: dict) -> None:
     assert report["suite"] == "programs"
-    assert report["bench_format"] == 3
+    assert report["bench_format"] == 4
     for entry in report["scales"]:
         native_cost = entry["native"]["cost"]
         assert native_cost > 0
@@ -88,7 +88,7 @@ def _check_report_shape(report: dict) -> None:
                 f"tier {tier['programs']}: jobs={row['jobs']} reports "
                 "diverged from the 1-worker run"
             )
-        # Cost-model columns (bench_format 3).  The *speedup* over the
+        # Cost-model columns (bench_format 4).  The *speedup* over the
         # fixed order is asserted only in the perf-marked gate below;
         # byte-identity between the orders is non-negotiable.
         order = tier["strategy_order"]
@@ -101,11 +101,8 @@ def _check_report_shape(report: dict) -> None:
         model = tier["cost_model"]
         assert model["counters"]["predictions"] == tier["programs"]
         assert model["reports_with_cost"] == tier["programs"], (
-            "every cascade report must carry a predicted cost"
+            "every cascade report must carry its cost verdict"
         )
-        for channel in model["accuracy"].values():
-            assert channel["samples"] > 0
-            assert channel["factor"] > 0
 
 
 def test_programs_smoke(tmp_path):

@@ -195,10 +195,11 @@ def convert_batch(
     programs auto-degrade to the in-process path.
 
     Stage attempts are cost-ordered by default
-    (``options.strategy_order="cost"``): the cascade predicts each
-    program's access profile and skips the rewrite attempt only when
-    static analysis is guaranteed to refuse it.  Every report carries
-    ``report.cost`` with the predicted and measured plan costs;
+    (``options.strategy_order="cost"``): the cascade prechecks each
+    program with the analyzer's verb-variability detector and skips
+    the rewrite attempt only when the analyzer is guaranteed to refuse
+    it.  Every report carries ``report.cost`` with the winning run's
+    measured cost and the stage order chosen;
     ``options.strategy_order="fixed"`` restores the unconditional
     rewrite-first order.
 

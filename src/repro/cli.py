@@ -482,15 +482,15 @@ def build_parser() -> argparse.ArgumentParser:
                           "run in-process (default: max(2*jobs, 32))")
     sub.add_argument("--strategy-order", default="cost",
                      choices=["cost", "fixed"],
-                     help="batch mode: order cascade stage attempts by "
-                          "predicted cost, skipping rewrites that "
-                          "static analysis is guaranteed to refuse "
+                     help="batch mode: skip rewrite attempts that "
+                          "the analyzer is guaranteed to refuse "
                           "(default), or probe every stage in the "
                           "fixed rewrite-first order")
     sub.add_argument("--cost-model", default="auto",
                      choices=["auto", "default"],
-                     help="batch mode: cardinalities for cost "
-                          "prediction -- auto counts the source "
+                     help="batch mode: target cardinalities for the "
+                          "optimizer's cost-gated passes (calc-locate, "
+                          "hoist-locate) -- auto counts the target "
                           "database's records, default uses a flat "
                           "per-record estimate")
     sub.add_argument("--program-timeout", type=float, default=None,

@@ -31,9 +31,9 @@ from repro.schema.model import Schema
 def blocking_failure(details: list[str] | tuple[str, ...]) -> str:
     """The analyzer's refusal message for blocking findings.
 
-    Shared with :mod:`repro.cost`, whose static prediction of "this
-    program will fall back" must synthesize the exact same failure
-    text the real analyzer raises.
+    Shared with the cascade, which synthesizes this exact text when
+    the :mod:`repro.cost` precheck (the same verb-variability
+    detector) proves the analyzer would refuse.
     """
     return ("program cannot be analyzed mechanically: "
             + "; ".join(details))

@@ -172,9 +172,10 @@ class ConversionReport:
     #: of the checkpoint summary -- a resumed batch must reproduce the
     #: original batch's journaled reports exactly.
     metrics: dict[str, int] | None = None
-    #: Cost-model verdict for this program when the cascade decided:
-    #: ``{"predicted": {strategy: cost | None}, "measured": cost |
-    #: None, "chosen_order": [strategy, ...]}``.  Observational like
+    #: Cost verdict for this program when the cascade decided:
+    #: ``{"measured": cost | None, "chosen_order": [strategy, ...]}``
+    #: (the winning run's access-path length and the stages the
+    #: cascade meant to attempt).  Observational like
     #: ``metrics`` and left out of the checkpoint summary for the same
     #: reason (cost-ordered and fixed-order runs must journal
     #: byte-identical checkpoints).

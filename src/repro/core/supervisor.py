@@ -65,7 +65,7 @@ class AnalystQuestion:
 def pin_verb_question(program_name: str, failure: str) -> AnalystQuestion:
     """The Section 3.2 verb-variability refusal, as a question.
 
-    Shared with the cascade's cost-based skip path: when the predictor
+    Shared with the cascade's rewrite precheck: when the precheck
     proves the analyzer would refuse, the cascade poses this exact
     question without running the pipeline, so analyst transcripts are
     identical either way.

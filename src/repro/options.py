@@ -70,18 +70,17 @@ class ConversionOptions:
     rule_catalog: "RuleCatalog | None" = None
 
     # -- cascade knobs ------------------------------------------------
-    #: Strategy stage order for the fallback cascade.
-    order: tuple[str, ...] = DEFAULT_STAGE_ORDER
     #: Terminal/file inputs replayed by every validation probe.
     inputs: "ProgramInputs | None" = None
     #: How the cascade decides which strategy to probe first:
-    #: ``"cost"`` consults the :mod:`repro.cost` predictor (skipping
-    #: the rewrite attempt only when its static analysis proves the
-    #: analyzer would refuse); ``"fixed"`` always probes ``order`` as
-    #: written.  Validation is never skipped in either mode.
+    #: ``"cost"`` runs the :mod:`repro.cost` precheck (skipping the
+    #: rewrite attempt only when it proves the analyzer would refuse);
+    #: ``"fixed"`` always probes the cascade's stage order as written.
+    #: Validation is never skipped in either mode.
     strategy_order: str = "cost"
-    #: Cardinality source for cost prediction: ``"auto"`` counts the
-    #: source database's records; ``"default"`` uses the flat
+    #: Target cardinalities for the optimizer's cost-gated passes
+    #: (``calc-locate``, ``hoist-locate``): ``"auto"`` counts the
+    #: target database's records; ``"default"`` uses the flat
     #: default-cardinality model.
     cost_model: str = "auto"
 

@@ -168,7 +168,6 @@ def _pool_worker(worker_id: int, seed_blob: bytes, task_queue, result_queue):
     summaries: list[dict] = []
     tracer: Tracer | None = None
     before: dict[str, int] = {}
-    calibration_before: dict[str, dict[str, float]] = {}
     clock_base = 0.0
     active = False
 
@@ -187,7 +186,6 @@ def _pool_worker(worker_id: int, seed_blob: bytes, task_queue, result_queue):
                 remove_durable(journal.path)
             summaries = []
             before = registry.snapshot()
-            calibration_before = cascade.calibrator.snapshot()
             tracer = Tracer() if trace else None
             if tracer is not None:
                 tracer.__enter__()
@@ -196,7 +194,7 @@ def _pool_worker(worker_id: int, seed_blob: bytes, task_queue, result_queue):
             continue
         if kind == "flush":
             if not active:
-                result_queue.put(("flush", worker_id, {}, [], 0.0, {}))
+                result_queue.put(("flush", worker_id, {}, [], 0.0))
                 continue
             if tracer is not None:
                 tracer.__exit__(None, None, None)
@@ -210,7 +208,6 @@ def _pool_worker(worker_id: int, seed_blob: bytes, task_queue, result_queue):
                     registry_delta(before, registry.snapshot()),
                     spans,
                     clock_base,
-                    cascade.calibrator.delta(calibration_before),
                 )
             )
             tracer = None
@@ -811,7 +808,7 @@ class ParallelExecutor:
                 )
 
         # Every program is accounted for; flush the survivors for
-        # their observability deltas (metrics, spans, calibration).
+        # their observability deltas (metrics, spans).
         expected = set(pool.active_ids())
         for worker_id in sorted(expected):
             pool.flush(worker_id)
@@ -955,13 +952,10 @@ class ParallelExecutor:
                                   if raw_metrics is not None else None)
                 report.cost = costs.get(report.program_name)
                 by_name[report.program_name] = report
-        for _, worker_id, delta, spans, clock_base, calibration in flushes:
+        for _, worker_id, delta, spans, clock_base in flushes:
             self._absorb_registry(delta)
             self._absorb_trace(worker_id, spans, clock_base, coordinator_base,
                                delta)
-            # Fold the worker's calibration samples into the seed
-            # cascade, exactly as a serial run would have observed them.
-            self.cascade.calibrator.absorb(calibration)
 
         missing = [name for name in names if name not in by_name]
         if missing:

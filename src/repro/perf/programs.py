@@ -76,8 +76,10 @@ SMOKE_INVENTORY_TIERS = (32,)
 #: size next to the jobs curve) over the inventory workload.
 #: 3: each tier row gained ``strategy_order`` (cost-ordered vs
 #: fixed-order cascade wall-clock and time saved) and ``cost_model``
-#: (predictor counters and calibrated accuracy) columns.
-BENCH_FORMAT = 3
+#: (predictor counters and predicted-vs-measured accuracy) columns.
+#: 4: ``cost_model`` lost its ``accuracy`` block: the cost model is
+#: only the rewrite precheck now and predicts no costs to score.
+BENCH_FORMAT = 4
 
 
 #: Corpus kinds whose behaviour is preserved across all three
@@ -328,8 +330,8 @@ def measure_parallel_scaling(jobs_curve: tuple[int, ...] = FULL_JOBS_CURVE,
     Each tier also runs once serially in ``strategy_order="fixed"``
     mode; the tier row's ``strategy_order`` column records the
     wall-clock saved by the cost-ordered cascade (which must produce
-    byte-identical reports), and ``cost_model`` records the predictor
-    counters and the calibrated predicted-vs-measured accuracy.
+    byte-identical reports), and ``cost_model`` records the precheck
+    counters and how many reports carry ``report.cost``.
     """
     import json as _json
 
@@ -394,8 +396,7 @@ def measure_parallel_scaling(jobs_curve: tuple[int, ...] = FULL_JOBS_CURVE,
                 "reports_identical": rendered == baseline_reports,
             })
         reports_with_cost = sum(
-            1 for report in cost_batch.reports
-            if report.cost and report.cost.get("predicted"))
+            1 for report in cost_batch.reports if report.cost is not None)
         tier_rows.append({
             "programs": tier,
             "jobs": rows,
@@ -411,7 +412,6 @@ def measure_parallel_scaling(jobs_curve: tuple[int, ...] = FULL_JOBS_CURVE,
             },
             "cost_model": {
                 "counters": cost_cascade.cost_counters.snapshot(),
-                "accuracy": cost_cascade.calibrator.accuracy(),
                 "reports_with_cost": reports_with_cost,
             },
         })
@@ -538,14 +538,9 @@ def summarize_programs(report: dict[str, Any]) -> str:
                 )
             model = tier.get("cost_model")
             if model:
-                parts = ", ".join(
-                    f"{name} x{channel['factor']:.2f} "
-                    f"({channel['samples']} samples)"
-                    for name, channel in model["accuracy"].items()
-                )
                 lines.append(
                     f"cost model at {tier['programs']} programs: "
                     f"{model['counters'].get('rewrite_skips', 0)} rewrite "
-                    f"skips; calibration factors {parts or 'n/a'}"
+                    "skips"
                 )
     return "\n".join(lines)

@@ -637,8 +637,8 @@ class JobManager:
         and the restructuring -- the dominant per-job cost for a
         stream of jobs over one application system.  Probes roll every
         mutation back inside savepoints, so a reused cascade's probe
-        databases are byte-identical to freshly built ones; only
-        batch-level calibration counters accumulate, and those never
+        databases are byte-identical to freshly built ones; only the
+        cascade's ``cost.*`` counters accumulate, and those never
         reach report or checkpoint bytes."""
         submission = job.submission
         if not self.warm_pools:

@@ -13,17 +13,17 @@ Every probe runs inside an engine savepoint and is rolled back, so
 validation leaves both databases byte-identical to their pre-call
 state no matter which stages fault.
 
-With ``strategy_order="cost"`` (the default) the cascade consults the
-:mod:`repro.cost` predictor before paying for a rewrite attempt.  The
-prediction is *sound pruning only*: the rewrite stage is skipped
-exactly when the static profile proves the program analyzer would
-refuse it (Section 3.2 verb variability; the analyzer's refusal text
-is synthesized byte-for-byte, and the Conversion Analyst is asked the
-same ``pin-verb`` question at the same point, so scripted analysts see
-an identical transcript).  Validation of whichever strategy does run
-is never skipped, and ``strategy_order="fixed"`` restores the
+With ``strategy_order="cost"`` (the default) the cascade runs the
+:mod:`repro.cost` precheck before paying for a rewrite attempt.  The
+precheck is *sound pruning only*: the rewrite stage is skipped exactly
+when the analyzer's own Section 3.2 verb-variability detector proves
+the analyzer would refuse the program (the refusal text is synthesized
+byte-for-byte, and the Conversion Analyst is asked the same
+``pin-verb`` question at the same point, so scripted analysts see an
+identical transcript).  Validation of whichever strategy does run is
+never skipped, and ``strategy_order="fixed"`` restores the
 unconditional rewrite-first probe.  Every report carries
-``report.cost = {predicted, measured, chosen_order}``.
+``report.cost = {measured, chosen_order}``.
 
 Stage outcomes land in :class:`~repro.core.report.ConversionReport`:
 
@@ -52,11 +52,11 @@ from repro.core.report import (
     StageOutcome,
 )
 from repro.core.supervisor import Analyst, pin_verb_question
-from repro.cost import CostCalibrator, CostPredictor, Prediction
+from repro.cost import CostPredictor
 from repro.errors import AnalysisError, PipelineFault
 from repro.network.database import NetworkDatabase
 from repro.observe.registry import NamedCounters, get_registry, registry_delta
-from repro.options import ConversionOptions
+from repro.options import ConversionOptions, DEFAULT_STAGE_ORDER
 from repro.observe.tracing import span
 from repro.programs.ast import Program
 from repro.programs.interpreter import ProgramInputs, run_program
@@ -66,9 +66,6 @@ from repro.strategies.base import ConversionStrategy, StrategyRun
 from repro.strategies.bridge import BridgeStrategy
 from repro.strategies.emulation import EmulationStrategy
 from repro.strategies.rewrite import RewriteStrategy
-
-#: Default attempt order: the paper's preferred strategy first.
-DEFAULT_ORDER = ("rewrite", "emulation", "bridge")
 
 STRATEGY_ORDERS = ("cost", "fixed")
 COST_MODEL_MODES = ("auto", "default")
@@ -107,11 +104,11 @@ class FallbackCascade:
                  operator: RestructuringOperator,
                  analyst: Analyst | None = None,
                  catalog: ChangeCatalog | None = None,
-                 order: tuple[str, ...] = DEFAULT_ORDER,
+                 order: tuple[str, ...] = DEFAULT_STAGE_ORDER,
                  strategy_order: str = "cost",
                  cost_model: str = "auto",
                  rule_catalog=None):
-        unknown = set(order) - set(DEFAULT_ORDER)
+        unknown = set(order) - set(DEFAULT_STAGE_ORDER)
         if unknown:
             raise ValueError(f"unknown cascade stages: {sorted(unknown)}")
         if strategy_order not in STRATEGY_ORDERS:
@@ -137,21 +134,14 @@ class FallbackCascade:
         #: the builtin catalog).  Distinct from ``self.catalog``, the
         #: ChangeCatalog of classified schema changes.
         self.rule_catalog = rule_catalog
-        # Cardinality models are taken once, eagerly: probes roll back
-        # every mutation, so the counts never drift during a batch and
-        # worker processes rehydrating this pickled cascade predict
-        # exactly like the serial coordinator.
-        if cost_model == "auto":
-            source_model = CostModel.from_database(source_db)
-            target_model = CostModel.from_database(target_db)
-        else:
-            source_model = CostModel({})
-            target_model = CostModel({})
-        self.target_cost_model = target_model
-        self.predictor = CostPredictor(source_model, source_db.schema)
-        #: Batch-level calibration state (reporting only; never feeds
-        #: back into per-program predictions, which must stay pure).
-        self.calibrator = CostCalibrator()
+        # The target cardinalities gate the optimizer's cost-based
+        # passes.  They are taken once, eagerly: probes roll back every
+        # mutation, so the counts never drift during a batch and worker
+        # processes rehydrating this pickled cascade optimize exactly
+        # like the serial coordinator.
+        self.target_cost_model = (CostModel.from_database(target_db)
+                                  if cost_model == "auto" else CostModel({}))
+        self.predictor = CostPredictor()
         self.cost_counters = NamedCounters("cost")
 
     # -- strategy construction ---------------------------------------
@@ -229,27 +219,25 @@ class FallbackCascade:
                     f"got {options.strategy_order!r}"
                 )
             strategy_order = options.strategy_order
-        use_cost = strategy_order == "cost"
         registry = get_registry()
         before = registry.snapshot()
         # The span shares this wrapper's snapshots instead of taking
         # its own pair (capture_metrics=False, then stamped below).
         with span("cascade.convert", capture_metrics=False,
                   program=program.name) as convert_span:
-            prediction = self.predictor.predict(program)
-            self.cost_counters.bump("predictions")
-            outcome = self._convert(program, inputs, prediction, use_cost)
-            self._observe_cost(outcome, prediction)
+            # The precheck runs only where it can skip something.
+            blocking: tuple[str, ...] = ()
+            if strategy_order == "cost" and "rewrite" in self.order:
+                blocking = self.predictor.predict(program)
+                self.cost_counters.bump("predictions")
+            outcome = self._convert(program, inputs, blocking)
         after = registry.snapshot()
         outcome.report.metrics = registry_delta(before, after)
-        skipped = (use_cost and bool(prediction.blocking)
-                   and "rewrite" in self.order)
         outcome.report.cost = {
-            "predicted": prediction.to_dict(),
             "measured": outcome.run.cost() if outcome.run else None,
             "chosen_order": [
                 name for name in self.order
-                if not (name == "rewrite" and skipped)
+                if not (name == "rewrite" and blocking)
             ],
         }
         if convert_span:
@@ -257,22 +245,9 @@ class FallbackCascade:
             convert_span.metrics_delta = dict(outcome.report.metrics)
         return outcome
 
-    def _observe_cost(self, outcome: CascadeOutcome,
-                      prediction: Prediction) -> None:
-        """Feed the winning run's measured cost into the calibrator."""
-        if outcome.run is None or not outcome.report.strategy:
-            return
-        predicted = prediction.costs.get(outcome.report.strategy)
-        if predicted is None:
-            return
-        self.calibrator.observe(outcome.report.strategy, predicted,
-                                outcome.run.cost())
-        self.cost_counters.bump("calibration_samples")
-
     def _convert(self, program: Program,
                  inputs: ProgramInputs | None = None,
-                 prediction: Prediction | None = None,
-                 use_cost: bool = True) -> CascadeOutcome:
+                 blocking: tuple[str, ...] = ()) -> CascadeOutcome:
         inputs = inputs or ProgramInputs()
         reference = self.reference_trace(program, inputs)
 
@@ -283,13 +258,12 @@ class FallbackCascade:
 
         for name in self.order:
             with span(f"cascade.{name}", program=program.name) as stage_span:
-                if (name == "rewrite" and use_cost
-                        and prediction is not None and prediction.blocking):
-                    # The static profile proves the analyzer would
-                    # refuse this program; synthesize its exact
-                    # refusal instead of paying for the attempt.
+                if name == "rewrite" and blocking:
+                    # The precheck proves the analyzer would refuse
+                    # this program; synthesize its exact refusal
+                    # instead of paying for the attempt.
                     rewrite_report = self._synthesize_rewrite_refusal(
-                        program, prediction)
+                        program, blocking)
                     last_detail = rewrite_report.failure or "unconverted"
                     stages.append(StageOutcome(name, "unconverted",
                                                last_detail))
@@ -339,7 +313,7 @@ class FallbackCascade:
                           last_detail)
 
     def _synthesize_rewrite_refusal(self, program: Program,
-                                    prediction: Prediction
+                                    blocking: tuple[str, ...]
                                     ) -> ConversionReport:
         """The report the rewrite attempt would have produced.
 
@@ -353,7 +327,7 @@ class FallbackCascade:
         # The supervisor's _phase wrapper annotates the raised error
         # with program/phase context before str()-ing it into the
         # report; build the same exception so the text cannot drift.
-        failure = str(AnalysisError(blocking_failure(prediction.blocking),
+        failure = str(AnalysisError(blocking_failure(blocking),
                                     program=program.name, phase="analyze"))
         report = ConversionReport(program.name, STATUS_FAILED)
         question = pin_verb_question(program.name, failure)

@@ -16,11 +16,7 @@ from repro import api
 from repro._deprecation import reset_deprecation_warnings
 from repro.batch import convert_batch, run_batch
 from repro.core.supervisor import ConversionSupervisor
-from repro.options import (
-    ConversionOptions,
-    DEFAULT_OPTIMIZER_PASSES,
-    DEFAULT_STAGE_ORDER,
-)
+from repro.options import ConversionOptions, DEFAULT_OPTIMIZER_PASSES
 from repro.programs import builder as b
 from repro.programs.interpreter import ProgramInputs
 from repro.restructure import restructure_database
@@ -63,7 +59,6 @@ class TestConversionOptions:
     def test_defaults(self):
         options = ConversionOptions()
         assert options.optimizer_passes == DEFAULT_OPTIMIZER_PASSES
-        assert options.order == DEFAULT_STAGE_ORDER
         assert options.jobs == 1
         assert options.resume is False
 

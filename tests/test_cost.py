@@ -1,16 +1,18 @@
-"""The COBRA cost model (repro.cost), the cost-gated optimizer passes,
+"""The rewrite precheck (repro.cost), the cost-gated optimizer passes,
 and the cost-ordered cascade.
 
 The load-bearing invariant throughout: cost ordering is *sound pruning
-only*.  The cascade may skip a rewrite attempt exactly when the static
-profile proves the analyzer would refuse the program, and the skipped
+only*.  The cascade may skip a rewrite attempt exactly when the
+precheck proves the analyzer would refuse the program, and the skipped
 path must synthesize byte-identical reports, checkpoints, and analyst
 transcripts -- at every jobs count and pathology rate.
 """
 
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.variability import (
     VERB_VARIABILITY_DETAIL,
@@ -18,9 +20,11 @@ from repro.analysis.variability import (
 )
 from repro.batch import run_batch
 from repro.core.abstract import ACond, ALocate, AbstractProgram, walk
+from repro.core.analyzer_program import ProgramAnalyzer, blocking_failure
 from repro.core.optimizer import CostModel, Optimizer
 from repro.core.supervisor import ScriptedAnalyst
-from repro.cost import CostCalibrator, CostPredictor, estimate_profile
+from repro.errors import AnalysisError
+from repro.cost import CostPredictor
 from repro.options import ConversionOptions
 from repro.parallel import run_parallel_batch
 from repro.programs import ast
@@ -69,105 +73,26 @@ def verb_program(name="VERB-VAR"):
     ])
 
 
-class TestAccessProfile:
-    def test_calc_lookup_is_an_index_probe(self, company_schema):
-        profile = estimate_profile(lookup_program(), MODEL, company_schema)
-        assert profile.index_probes == 1
-        assert profile.records_read == 1
-        assert profile.full_scans == 0
-        assert profile.rewrite_feasible
+class TestPredictor:
+    """The precheck is the analyzer's own verb-variability detector."""
 
-    def test_uncovered_find_is_a_half_scan(self, company_schema):
-        program = b.program("T", "network", "C", [
-            b.find_any("EMP", **{"DEPT-NAME": "SALES"}),
-        ])
-        profile = estimate_profile(program, MODEL, company_schema)
-        assert profile.index_probes == 0
-        assert profile.full_scans == 1
-        assert profile.records_read == pytest.approx(40 / 2)
-
-    def test_scan_trip_follows_set_cardinalities(self, company_schema):
-        profile = estimate_profile(scan_program(), MODEL, company_schema)
-        # DIV probe (1) + FIND FIRST (1) + trip 20 x (GET + FIND NEXT).
-        assert profile.records_read == pytest.approx(1 + 1 + 20 + 20)
-        assert profile.index_probes == 1
-
-    def test_if_branches_are_expectations(self, company_schema):
-        program = b.program("T", "network", "C", [
-            b.find_any("DIV", **{"DIV-NAME": "X"}),
-            b.if_(ast.status_ok(), [b.get("DIV")]),
-        ])
-        profile = estimate_profile(program, MODEL, company_schema)
-        assert profile.records_read == pytest.approx(1 + 0.5)
-
-    def test_blocking_details_match_the_detector(self, company_schema):
+    def test_blocking_details_match_the_detector(self):
         program = verb_program()
-        profile = estimate_profile(program, MODEL, company_schema)
-        assert profile.blocking_details == (VERB_VARIABILITY_DETAIL,)
-        assert not profile.rewrite_feasible
-        findings = detect_verb_variability(program)
-        assert [f.detail for f in findings if f.blocking] == \
-            list(profile.blocking_details)
+        details = CostPredictor().predict(program)
+        assert details == (VERB_VARIABILITY_DETAIL,)
+        assert [f.detail for f in detect_verb_variability(program)] == \
+            list(details)
 
-    def test_constant_verb_is_not_blocking(self, company_schema):
+    def test_constant_verb_is_not_blocking(self):
         program = b.program("T", "network", "C", [
             b.generic_call(ast.Const("STORE"), "EMP",
                            **{"EMP-NAME": "X"}),
         ])
-        profile = estimate_profile(program, MODEL, company_schema)
-        assert profile.rewrite_feasible
+        assert CostPredictor().predict(program) == ()
 
-
-class TestPredictor:
-    def test_per_strategy_costs(self, company_schema):
-        predictor = CostPredictor(MODEL, company_schema)
-        prediction = predictor.predict(lookup_program())
-        native = 2  # one probe + one record read
-        assert prediction.costs["rewrite"] == pytest.approx(native)
-        assert prediction.costs["emulation"] == pytest.approx(
-            native + CostPredictor.EMULATION_CALL_FACTOR * 1)
-        assert prediction.costs["bridge"] == pytest.approx(native + 40)
-        assert prediction.cheapest_feasible() == "rewrite"
-
-    def test_blocking_program_marks_rewrite_infeasible(self,
-                                                       company_schema):
-        predictor = CostPredictor(MODEL, company_schema)
-        prediction = predictor.predict(verb_program())
-        assert prediction.costs["rewrite"] is None
-        assert prediction.blocking
-        assert prediction.cheapest_feasible() in ("emulation", "bridge")
-
-
-class TestCalibrator:
-    def test_factor_and_accuracy(self):
-        calibrator = CostCalibrator()
-        calibrator.observe("rewrite", predicted=10.0, measured=20.0)
-        assert calibrator.factor("rewrite") == pytest.approx(2.0)
-        assert calibrator.calibrate("rewrite", 10.0) == pytest.approx(20.0)
-        accuracy = calibrator.accuracy()["rewrite"]
-        assert accuracy["samples"] == 1
-        assert accuracy["mean_abs_pct_error"] == pytest.approx(0.5)
-
-    def test_unknown_strategy_is_identity(self):
-        assert CostCalibrator().factor("emulation") == 1.0
-
-    def test_delta_then_absorb_reconstructs_the_whole(self):
-        calibrator = CostCalibrator()
-        calibrator.observe("rewrite", 10.0, 12.0)
-        before = calibrator.snapshot()
-        calibrator.observe("rewrite", 5.0, 4.0)
-        calibrator.observe("emulation", 7.0, 21.0)
-        delta = calibrator.delta(before)
-        assert set(delta) == {"rewrite", "emulation"}
-        merged = CostCalibrator()
-        merged.absorb(before)
-        merged.absorb(delta)
-        assert merged.snapshot() == calibrator.snapshot()
-
-    def test_delta_skips_unmoved_channels(self):
-        calibrator = CostCalibrator()
-        calibrator.observe("rewrite", 10.0, 12.0)
-        assert calibrator.delta(calibrator.snapshot()) == {}
+    def test_blocking_program_marks_rewrite_infeasible(self):
+        assert CostPredictor().predict(verb_program())
+        assert CostPredictor().predict(lookup_program()) == ()
 
 
 class TestOptimizerCalcLocate:
@@ -312,7 +237,6 @@ class TestCostOrderedCascade:
         assert cost.report.to_summary() == fixed.report.to_summary()
         assert cost.report.strategy == "emulation"
         assert cost_cascade.cost_counters.get("rewrite_skips") == 1
-        assert cost.report.cost["predicted"]["rewrite"] is None
         assert cost.report.cost["chosen_order"] == ["emulation", "bridge"]
         assert fixed.report.cost["chosen_order"] == [
             "rewrite", "emulation", "bridge"]
@@ -339,10 +263,8 @@ class TestCostOrderedCascade:
         assert outcome.report.strategy == "rewrite"
         assert outcome.report.cost["chosen_order"] == [
             "rewrite", "emulation", "bridge"]
-        assert outcome.report.cost["predicted"]["rewrite"] is not None
         assert outcome.report.cost["measured"] == outcome.run.cost()
         assert cascade.cost_counters.get("rewrite_skips") == 0
-        assert cascade.calibrator.samples == 1
 
     def test_options_strategy_order_overrides_the_constructor(
             self, cascade_pair):
@@ -404,25 +326,14 @@ class TestByteIdentityMatrix:
         assert cost_path.read_bytes() == fixed_path.read_bytes()
         assert parallel_path.read_bytes() == cost_path.read_bytes()
 
-        # Every cascade report carries the prediction, and the parallel
-        # merge reattaches the same cost dicts the serial run produced.
+        # Every cascade report carries its cost verdict, and the
+        # parallel merge reattaches the same cost dicts the serial run
+        # produced.
         serial_costs = [report.cost for report in serial.reports]
-        assert all(entry and entry.get("predicted")
-                   for entry in serial_costs)
+        assert all(entry is not None for entry in serial_costs)
         assert [report.cost for report in parallel.reports] == \
             serial_costs
         assert json.dumps(serial_costs)  # JSON-serializable end to end
-
-        # The coordinator absorbed the workers' calibration deltas: a
-        # parallel batch learns exactly what the serial one does.  The
-        # error accumulator is a float sum, so worker-order addition
-        # may differ from serial by an ulp -- hence approx, while the
-        # integer and total fields must match exactly.
-        serial_snapshot = serial_cascade.calibrator.snapshot()
-        parallel_snapshot = parallel_cascade.calibrator.snapshot()
-        assert set(parallel_snapshot) == set(serial_snapshot)
-        for strategy, channel in serial_snapshot.items():
-            assert parallel_snapshot[strategy] == pytest.approx(channel)
 
     def test_skips_happen_only_on_pathological_corpora(self, tmp_path):
         spec = InventorySpec(programs=24, pathology_rate=0.75,
@@ -432,3 +343,129 @@ class TestByteIdentityMatrix:
         run_batch(cascade, programs, BATCH_OPTIONS)
         assert cascade.cost_counters.get("rewrite_skips") > 0
         assert cascade.cost_counters.get("predictions") == len(programs)
+
+
+#: How a generated generic call gets its verb: a literal, a variable
+#: moved once at top level (provably constant), a variable moved inside
+#: a loop, or a variable ACCEPTed from the terminal (both variable).
+VERB_MODES = ("literal", "top-move", "loop-move", "accept")
+
+
+def bounded_loop(counter, body):
+    """``body`` inside a WHILE that runs exactly twice."""
+    return [
+        b.assign(counter, 0),
+        b.while_(b.lt(b.v(counter), 2), [
+            *body,
+            b.assign(counter, b.add(b.v(counter), 1)),
+        ]),
+    ]
+
+
+@st.composite
+def generic_call_programs(draw, name):
+    """A program with generic calls at random depths: top level, IF
+    arms, WHILE bodies and procedure bodies, each with a random verb
+    mode.  Every verb resolves to FIND-ANY at run time, so the source
+    reference run never faults."""
+    ids = itertools.count()
+    prelude = []
+    procedures = []
+
+    def generic_call():
+        index = next(ids)
+        mode = draw(st.sampled_from(VERB_MODES))
+        verb_var = f"VERB-{index}"
+        if mode == "literal":
+            verb = b.lit("FIND-ANY")
+        else:
+            verb = b.v(verb_var)
+            if mode == "top-move":
+                prelude.append(b.assign(verb_var, "FIND-ANY"))
+            elif mode == "loop-move":
+                prelude.extend(bounded_loop(
+                    f"M-{index}", [b.assign(verb_var, "FIND-ANY")]))
+            else:
+                prelude.append(b.accept(verb_var))
+        return [b.generic_call(verb, "EMP",
+                               **{"EMP-NAME": "TAYLOR-0000"})]
+
+    def statement(depth):
+        where = draw(st.sampled_from(
+            ("top", "if", "while", "procedure") if depth < 2 else ("top",)))
+        if where == "top":
+            return generic_call()
+        body = block(depth + 1)
+        index = next(ids)
+        if where == "if":
+            arms = (body, []) if draw(st.booleans()) else ([], body)
+            return [b.if_(b.eq(b.lit(1), b.lit(1)), *arms)]
+        if where == "while":
+            return bounded_loop(f"L-{index}", body)
+        procedures.append(b.procedure(f"P-{index}", [], body))
+        return [b.call(f"P-{index}")]
+
+    def block(depth):
+        return [stmt for _ in range(draw(st.integers(1, 2)))
+                for stmt in statement(depth)]
+
+    body = block(0)
+    return b.program(name, "network", "COMPANY-NAME",
+                     [*prelude, *body, b.display("DONE")],
+                     procedures=procedures)
+
+
+@st.composite
+def generic_call_batches(draw):
+    return [draw(generic_call_programs(f"PROP-{index}"))
+            for index in range(draw(st.integers(1, 3)))]
+
+
+#: Enough terminal lines for every ACCEPTed verb a program can draw.
+PROPERTY_OPTIONS = ConversionOptions(
+    inputs=ProgramInputs(terminal=["FIND-ANY"] * 16))
+
+
+def refused_as_blocking(program, schema):
+    """Does the analyzer refuse ``program`` for a Section 3.2 blocking
+    finding?  (It also refuses DML inside procedures, a refusal the
+    precheck does not claim: the cascade still pays that attempt.)"""
+    try:
+        ProgramAnalyzer(schema).analyze(program)
+    except AnalysisError as error:
+        return str(error).startswith(blocking_failure(()))
+    return False
+
+
+class TestPrecheckProperty:
+    """Nested generic calls and procedures, which the inventory corpus
+    never generates: cost order stays indistinguishable from fixed
+    order, and it skips exactly the analyzer's blocking refusals."""
+
+    @given(generic_call_batches())
+    @settings(max_examples=30, deadline=None)
+    def test_cost_order_matches_fixed_order(self, programs):
+        operator = company.figure_44_operator()
+        runs = {}
+        for order in ("fixed", "cost"):
+            source_db = company.company_db(seed=42)
+            _schema, target_db = restructure_database(source_db, operator)
+            analyst = ScriptedAnalyst({})
+            cascade = FallbackCascade(source_db, target_db, operator,
+                                      analyst=analyst,
+                                      strategy_order=order)
+            batch = run_batch(cascade, programs, PROPERTY_OPTIONS.replace(
+                strategy_order=order))
+            runs[order] = (
+                [report.to_summary() for report in batch.reports],
+                [(question.render(), answer)
+                 for question, answer in analyst.transcript],
+                cascade.cost_counters.get("rewrite_skips"),
+            )
+        assert runs["cost"][0] == runs["fixed"][0]
+        assert runs["cost"][1] == runs["fixed"][1]
+        schema = company.figure_42_schema()
+        refused = sum(refused_as_blocking(program, schema)
+                      for program in programs)
+        assert runs["cost"][2] == refused
+        assert runs["fixed"][2] == 0
