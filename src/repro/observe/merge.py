@@ -40,9 +40,8 @@ def worker_root(
     """Wrap a worker's (non-empty) span forest under one root span
     covering exactly the children's envelope.
 
-    Extra ``attrs`` ride on the root (the warm-pool executor has no
-    per-batch attrs today, but chunk provenance can mount here without
-    another merge-shape change).
+    Extra ``attrs`` ride on the root (the warm-pool executor stamps
+    each worker's ``cost_*`` counters there).
     """
     if not spans:
         raise ValueError("cannot root an empty span forest")

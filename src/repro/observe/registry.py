@@ -49,6 +49,8 @@ class MetricsRegistry:
         self._sources: weakref.WeakValueDictionary[int, MetricsSource] = (
             weakref.WeakValueDictionary()
         )
+        #: Counter movement that ran in other processes, held strongly.
+        self._absorbed: dict[str, int] = {}
         self._lock = threading.Lock()
 
     def register(self, source: MetricsSource) -> None:
@@ -56,14 +58,25 @@ class MetricsRegistry:
         with self._lock:
             self._sources[id(source)] = source
 
+    def absorb(self, delta: dict[str, int]) -> None:
+        """Sum counter movement that ran in another process -- a pool
+        worker's registry delta -- into this registry for good, exactly
+        as if the work had run in-process.  Unlike a registered bundle,
+        the absorbed counts need no owner to stay visible."""
+        with self._lock:
+            for name, value in delta.items():
+                self._absorbed[name] = self._absorbed.get(name, 0) + value
+
     def sources(self) -> list[MetricsSource]:
         """The currently-live registered bundles."""
         with self._lock:
             return list(self._sources.values())
 
     def snapshot(self) -> dict[str, int]:
-        """Sum every live bundle into one ``{name: value}`` dict."""
-        out: dict[str, int] = {}
+        """Sum every live bundle, and the absorbed counts, into one
+        ``{name: value}`` dict."""
+        with self._lock:
+            out = dict(self._absorbed)
         for source in self.sources():
             for name, value in source.metrics_items():
                 out[name] = out.get(name, 0) + value
@@ -125,24 +138,6 @@ class NamedCounters:
         self.namespace = state["namespace"]
         self._counts = state["_counts"]
         get_registry().register(self)
-
-
-class FrozenMetricsSource:
-    """An immutable ``{name: value}`` bag exposed as a registry source.
-
-    The parallel coordinator absorbs each worker's registry delta by
-    wrapping it in one of these and registering it: the worker's counts
-    then sum into the coordinator's aggregate view exactly as if the
-    work had run in-process.  The registry holds sources weakly, so the
-    absorber must keep a strong reference for as long as the counts
-    should remain visible.
-    """
-
-    def __init__(self, counts: dict[str, int]):
-        self._counts = dict(counts)
-
-    def metrics_items(self) -> Iterable[tuple[str, int]]:
-        return iter(self._counts.items())
 
 
 #: The process-wide registry every bundle registers into by default.

@@ -8,7 +8,16 @@ exploited that with a spawn-per-batch pool, which made parallelism
 *slower* than serial on realistic small batches -- process spawn plus
 seed-state rehydration cost whole seconds against milliseconds of
 work.  This module replaces it with a :class:`WorkerPool` of
-long-lived worker processes:
+long-lived worker processes.
+
+The pool path runs the batch core of :mod:`repro.batch`, split across
+processes: every worker runs the core's per-program loop
+(:func:`repro.batch.convert_programs`) over each chunk it is dealt,
+settling into a :class:`~repro.batch.ShardSink`, and the coordinator
+settles every returned summary into the batch's
+:class:`~repro.batch.BatchRun` -- the same names check, journal
+recovery, settle step, and program-ordered report as a serial run.
+What this module adds is dispatch, supervision, and drain:
 
 * the coordinator pickles the cascade seed state **once** and ships it
   **once per worker at spawn**, never per batch; each worker
@@ -21,8 +30,9 @@ long-lived worker processes:
   ``<checkpoint>.shard<k>`` file after **every chunk**, so a killed or
   interrupted run resumes exactly as before;
 * batches below ``options.parallel_threshold`` pending programs
-  auto-degrade to the in-process path (and say why at INFO level) --
-  ``--jobs 8`` on a tiny batch must not cost 35x;
+  auto-degrade to the in-process path (:func:`use_pool` decides, and
+  says why at INFO level) -- ``--jobs 8`` on a tiny batch must not
+  cost 35x;
 * Ctrl-C / SIGTERM inside the pool window **drains** gracefully: no
   new chunks are dispatched, in-flight chunks finish and are
   journaled, every shard is folded into the main checkpoint, and the
@@ -40,19 +50,14 @@ long-lived worker processes:
   interpreter's cooperative watchdog so a hung program times out with
   the same deterministic report serially and in-worker.
 
-The deterministic merge is unchanged from the spawn-per-batch
-executor: report summaries come back through the exact render/parse
-round trip and are reassembled in program order, per-program metrics
-are reattached, worker registry deltas are absorbed via
-:class:`~repro.observe.registry.FrozenMetricsSource`, worker span
+The merge is deterministic: report summaries come back through the
+exact render/parse round trip and settle by program name, worker
+registry deltas are absorbed into the coordinator registry
+(:meth:`~repro.observe.registry.MetricsRegistry.absorb`), worker span
 forests mount under per-worker ``parallel.worker`` roots, and shards
 fold into the main journal in program order -- so reports, checkpoint
 bytes, and metrics are byte-identical to a serial run at any worker
 count, any chunk size, and any dispatch interleaving.
-
-``jobs=1`` (or a batch with at most one pending program) takes the
-in-process fast path: no pool, no pickling, no subprocess -- just
-:func:`repro.batch.run_batch`.
 """
 
 from __future__ import annotations
@@ -70,26 +75,18 @@ from queue import Empty
 from typing import Iterator
 
 from repro.batch import (
-    BatchCheckpoint,
+    BatchRun,
     CheckpointError,
     ProgressCallback,
-    check_program_names,
-    convert_one,
+    ShardSink,
     quarantine_report,
-    run_batch,
 )
-from repro.core.report import BatchReport, ConversionReport
+from repro.core.report import BatchReport
 from repro.errors import ReproError
 from repro.faultinject import mark_worker_process
-from repro.jsonio import remove_durable
 from repro.observe.merge import merge_worker_trace
-from repro.observe.registry import (
-    FrozenMetricsSource,
-    get_registry,
-    named_counters,
-    registry_delta,
-)
-from repro.observe.tracing import Tracer, current_tracer, span
+from repro.observe.registry import get_registry, named_counters, registry_delta
+from repro.observe.tracing import Tracer, current_tracer
 from repro.options import ConversionOptions
 from repro.programs.ast import Program
 from repro.strategies.cascade import FallbackCascade
@@ -101,15 +98,6 @@ log = logging.getLogger(__name__)
 #: trip hides behind real work) while the bag keeps enough undispatched
 #: chunks for dynamic rebalancing.
 PREFILL = 2
-
-#: Result-queue poll interval; every timeout re-checks worker health.
-#: Historic default -- the live value is ``options.poll_interval``.
-POLL_SECONDS = 0.2
-
-#: Budget for the graceful-interrupt drain: in-flight chunks get this
-#: long to finish and journal before the pool is terminated.  Historic
-#: default -- the live value is ``options.drain_timeout``.
-DRAIN_SECONDS = 30.0
 
 #: How long ``close()`` waits for a worker to exit before terminating.
 CLOSE_SECONDS = 5.0
@@ -144,10 +132,13 @@ def _pool_worker(worker_id: int, seed_blob: bytes, task_queue, result_queue):
     process's registry, see
     :meth:`repro.engine.metrics.Metrics.__setstate__`), then serves
     ``begin`` / ``chunk`` / ``flush`` / ``exit`` messages until told to
-    stop.  SIGINT is ignored: a terminal Ctrl-C reaches the whole
-    process group, and it is the coordinator's drain -- not the
-    signal -- that must stop a worker, *after* its in-flight chunk is
-    journaled.
+    stop.  Each ``begin`` opens the batch's
+    :class:`~repro.batch.ShardSink`, and each chunk runs the batch
+    core's per-program loop into it (one shard rewrite per chunk) and
+    ships ``(summary, metrics, cost)`` per program.  SIGINT is ignored:
+    a terminal Ctrl-C reaches the whole process group, and it is the
+    coordinator's drain -- not the signal -- that must stop a worker,
+    *after* its in-flight chunk is journaled.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
@@ -163,13 +154,10 @@ def _pool_worker(worker_id: int, seed_blob: bytes, task_queue, result_queue):
     cascade, options = pickle.loads(seed_blob)
     registry = get_registry()
 
-    journal: BatchCheckpoint | None = None
-    names: list[str] = []
-    summaries: list[dict] = []
+    sink: ShardSink | None = None  # the begun batch's, until its flush
     tracer: Tracer | None = None
     before: dict[str, int] = {}
     clock_base = 0.0
-    active = False
 
     while True:
         message = task_queue.get()
@@ -178,29 +166,20 @@ def _pool_worker(worker_id: int, seed_blob: bytes, task_queue, result_queue):
             return
         if kind == "begin":
             _, names, shard_path, trace = message
-            journal = BatchCheckpoint(shard_path) if shard_path else None
-            if journal is not None and journal.exists():
-                # A stale shard from a crashed run the caller chose not
-                # to resume must not leak into this batch's merge --
-                # durably, so a machine crash cannot resurrect it.
-                remove_durable(journal.path)
-            summaries = []
+            sink = ShardSink(shard_path, names)
             before = registry.snapshot()
             tracer = Tracer() if trace else None
             if tracer is not None:
                 tracer.__enter__()
             clock_base = time.perf_counter()
-            active = True
             continue
         if kind == "flush":
-            if not active:
+            if sink is None:
                 result_queue.put(("flush", worker_id, {}, [], 0.0))
                 continue
             if tracer is not None:
                 tracer.__exit__(None, None, None)
-            spans = (
-                [root.to_dict() for root in tracer.roots] if tracer else []
-            )
+            spans = [root.to_dict() for root in tracer.roots] if tracer else []
             result_queue.put(
                 (
                     "flush",
@@ -211,37 +190,16 @@ def _pool_worker(worker_id: int, seed_blob: bytes, task_queue, result_queue):
                 )
             )
             tracer = None
-            active = False
+            sink = None
             continue
         # ("chunk", chunk_id, programs_blob)
         _, chunk_id, programs_blob = message
         try:
-            programs: list[Program] = pickle.loads(programs_blob)
-            chunk_summaries: list[dict] = []
-            chunk_metrics: dict[str, dict[str, int]] = {}
-            chunk_costs: dict[str, dict] = {}
-            for program in programs:
-                with span("batch.program", program=program.name):
-                    report = convert_one(cascade, program, options)
-                chunk_summaries.append(report.to_summary())
-                # A fault that escapes the cascade leaves metrics/cost
-                # as None (convert_one's belt-and-braces path); ship
-                # that as-is so the merged report matches serial.
-                if report.metrics is not None:
-                    chunk_metrics[program.name] = dict(report.metrics)
-                chunk_costs[program.name] = report.cost
-            summaries.extend(chunk_summaries)
-            if journal is not None:
-                journal.write_summaries(names, summaries)
+            results = sink.convert(cascade, pickle.loads(programs_blob), options)
         except Exception as exc:  # pragma: no cover - shipped upward
-            result_queue.put(
-                ("error", worker_id, f"{type(exc).__name__}: {exc}")
-            )
+            result_queue.put(("error", worker_id, f"{type(exc).__name__}: {exc}"))
             continue
-        result_queue.put(
-            ("chunk", worker_id, chunk_id, chunk_summaries, chunk_metrics,
-             chunk_costs)
-        )
+        result_queue.put(("chunk", worker_id, chunk_id, results))
 
 
 class WorkerPool:
@@ -414,13 +372,48 @@ def _interrupt_on_sigterm() -> Iterator[None]:
         signal.signal(signal.SIGTERM, previous)
 
 
-class ParallelExecutor:
-    """Coordinates a multi-process batch conversion over a warm pool.
+def use_pool(
+    options: ConversionOptions, pending: int, pool: WorkerPool | None = None
+) -> bool:
+    """Whether a batch with ``pending`` programs left to convert runs
+    on a worker pool rather than in-process.
 
-    The executor owns the deterministic merge: reports come back in
-    program order regardless of which worker converted what, checkpoint
-    shards fold into the main journal in program order, worker metrics
-    are absorbed into the coordinator registry, and worker span forests
+    One worker, or at most one pending program, never does.  A
+    caller-owned warm ``pool`` always does otherwise: its marginal cost
+    is nil.  Without one, the batch must reach
+    ``options.parallel_threshold`` -- below it, spawn and seed
+    rehydration dwarf the conversion work, and the batch auto-degrades
+    with an INFO log saying why.  The executor and the conversion
+    service's warm-pool cache both decide here.
+    """
+    jobs = pool.jobs if pool is not None else options.resolved_jobs()
+    if jobs <= 1 or pending <= 1:
+        return False
+    if pool is not None:
+        return True
+    threshold = options.resolved_parallel_threshold(jobs)
+    if pending < threshold:
+        log.info(
+            "parallel: %d pending program(s) is below the pool "
+            "threshold %d for jobs=%d; converting in-process "
+            "(spawn + seed rehydration would dominate)",
+            pending,
+            threshold,
+            jobs,
+        )
+        return False
+    return True
+
+
+class ParallelExecutor:
+    """Runs the batch core over a warm pool: dispatch, supervision, and
+    drain.
+
+    Every worker result settles into the batch's
+    :class:`~repro.batch.BatchRun`, so reports come back in program
+    order regardless of which worker converted what; checkpoint shards
+    fold into the main journal in program order, worker metrics are
+    absorbed into the coordinator registry, and worker span forests
     mount under per-worker roots on the active tracer.
 
     Pass ``pool=`` to reuse a :class:`WorkerPool` across batches (the
@@ -443,103 +436,72 @@ class ParallelExecutor:
         self.pool = pool
         #: Per-program progress callback (see
         #: :data:`repro.batch.ProgressCallback`).  On the pool path it
-        #: fires in completion order, once per program, as chunk
-        #: results reach the coordinator -- after the producing worker
-        #: journaled its shard, so a callback that raises
-        #: ``KeyboardInterrupt`` (the service's cooperative stop)
-        #: drains to a checkpoint that resumes past every reported
-        #: program.
+        #: fires once per program -- recovered reports first, then in
+        #: completion order as chunk results reach the coordinator,
+        #: after the producing worker journaled its shard, so a
+        #: callback that raises ``KeyboardInterrupt`` (the service's
+        #: cooperative stop) drains to a checkpoint that resumes past
+        #: every reported program.
         self.progress = progress
-        #: Strong references to absorbed worker deltas (the registry
-        #: holds sources weakly).
-        self.absorbed: list[FrozenMetricsSource] = []
+        #: The worker registry deltas this run absorbed (the registry
+        #: keeps the counts; see ``MetricsRegistry.absorb``).
+        self.absorbed: list[dict[str, int]] = []
 
     def run(self) -> BatchReport:
         """Convert the batch; equivalent to :func:`run_batch` output."""
         options = self.options
-        names = check_program_names(self.programs)
-        jobs = self.pool.jobs if self.pool is not None else options.resolved_jobs()
-
-        journal = BatchCheckpoint(options.checkpoint) if options.checkpoint else None
-        done: dict[str, ConversionReport] = {}
-        if journal is not None and options.resume:
-            done = journal.recover(names)
-        pending = [p for p in self.programs if p.name not in done]
-
-        if jobs <= 1 or len(pending) <= 1:
-            # In-process fast path: no pool, no pickling, no fork.
-            return run_batch(
-                self.cascade, self.programs, options, progress=self.progress
-            )
-        threshold = options.resolved_parallel_threshold(jobs)
-        if self.pool is None and len(pending) < threshold:
-            # Auto-degrade: below the threshold the pool's spawn and
-            # rehydration cost dwarfs the conversion work.  An external
-            # warm pool skips this check -- its marginal cost is nil.
-            log.info(
-                "parallel: %d pending program(s) is below the pool "
-                "threshold %d for jobs=%d; converting in-process "
-                "(spawn + seed rehydration would dominate)",
-                len(pending),
-                threshold,
-                jobs,
-            )
-            return run_batch(
-                self.cascade, self.programs, options, progress=self.progress
-            )
+        batch = BatchRun(self.programs, options, self.progress)
+        pending = len(batch.pending())
+        if not use_pool(options, pending, self.pool):
+            return batch.convert(self.cascade)
 
         pool = self.pool
-        owned = pool is None
-        if owned:
-            pool = WorkerPool(
-                self.cascade, options, jobs=min(jobs, len(pending))
-            )
-        trace = current_tracer() is not None
+        if pool is None:
+            jobs = min(options.resolved_jobs(), pending)
+            pool = WorkerPool(self.cascade, options, jobs=jobs)
+        tracer = current_tracer()
         coordinator_base = time.perf_counter()
         try:
             with _interrupt_on_sigterm():
                 try:
-                    chunk_results, flushes, quarantined = self._run_pool(
-                        pool, pending, names, journal, trace, done
-                    )
+                    flushes = self._run_pool(pool, batch, tracer is not None)
                 except (KeyboardInterrupt, SystemExit):
-                    self._drain(pool, names, journal)
+                    self._drain(pool, batch)
                     raise
         finally:
-            if owned:
+            if pool is not self.pool:
                 pool.close()
 
-        return self._merge(
-            chunk_results,
-            flushes,
-            names,
-            done,
-            journal,
-            coordinator_base,
-            quarantined,
-        )
+        registry = get_registry()
+        for _, worker_id, delta, spans, clock_base in flushes:
+            if delta:
+                registry.absorb(delta)
+                self.absorbed.append(delta)
+            if tracer is not None and spans:
+                # Each worker root carries that worker's cost counters.
+                cost_attrs = {
+                    name.replace(".", "_"): value
+                    for name, value in delta.items()
+                    if name.startswith("cost.")
+                }
+                merge_worker_trace(
+                    tracer,
+                    worker_id,
+                    spans,
+                    worker_base=clock_base,
+                    coordinator_base=coordinator_base,
+                    **cost_attrs,
+                )
+        if batch.journal is not None:
+            batch.journal.merge_shards(batch.names)
+        return batch.report()
 
     # -- the pool ------------------------------------------------------
 
-    def _run_pool(
-        self,
-        pool: WorkerPool,
-        pending: list[Program],
-        names: list[str],
-        journal: BatchCheckpoint | None,
-        trace: bool,
-        done: dict[str, ConversionReport],
-    ) -> tuple[
-        list[tuple[list[dict], dict, dict]],
-        list[tuple],
-        dict[str, ConversionReport],
-    ]:
-        """Dispatch chunks dynamically, supervising the pool.
-
-        Returns ``(chunk_results, flushes, quarantined)``: chunk
-        results in arrival order (the merge re-sorts by program), one
-        flush per surviving worker in worker-id order, and the reports
-        synthesized for quarantined poison programs.
+    def _run_pool(self, pool: WorkerPool, batch: BatchRun, trace: bool) -> list[tuple]:
+        """Dispatch chunks dynamically, supervising the pool, until
+        every program has settled; returns the surviving workers'
+        flushes (see :meth:`_flush`).
 
         Supervision: every result-queue poll timeout re-checks worker
         health.  A dead worker is retired, its dealt-but-unjournaled
@@ -558,13 +520,11 @@ class ParallelExecutor:
         """
         options = self.options
         if options.poll_interval <= 0:
-            raise ValueError(
-                f"poll_interval must be > 0, got {options.poll_interval}"
-            )
+            raise ValueError(f"poll_interval must be > 0, got {options.poll_interval}")
         if options.drain_timeout < 0:
-            raise ValueError(
-                f"drain_timeout must be >= 0, got {options.drain_timeout}"
-            )
+            raise ValueError(f"drain_timeout must be >= 0, got {options.drain_timeout}")
+        names, journal = batch.names, batch.journal
+        pending = batch.pending()
         chunk_size = options.resolved_chunk_size(len(pending), pool.jobs)
         supervision = named_counters("supervision")
         retries = max(1, options.max_program_retries)
@@ -579,39 +539,15 @@ class ParallelExecutor:
         #: deal order (workers process their queue FIFO).
         ledger: dict[int, deque[tuple[int, list[Program]]]] = {}
         kill_counts: dict[str, int] = {}
-        quarantined: dict[str, ConversionReport] = {}
-        remaining = {program.name for program in pending}
         unproductive_respawns = 0
         total_respawns = 0
 
-        progress = self.progress
-        total = len(names)
-        settled = 0
-        reported: set[str] = set()
-
-        def notify(report: ConversionReport, resumed: bool = False) -> None:
-            # Once per program, in completion order; re-dealt duplicate
-            # chunk results are filtered on the program name.  Raising
-            # here (the service's cooperative stop) propagates into the
-            # graceful-drain path with the reporting worker's shard
-            # already journaled.
-            nonlocal settled
-            if progress is None or report.program_name in reported:
-                return
-            reported.add(report.program_name)
-            settled += 1
-            progress(report, settled, total, resumed)
-
         for name in names:
-            if name in done:
-                notify(done[name], resumed=True)
+            if name in batch.recovered:
+                batch.settle(batch.recovered[name], resumed=True)
 
         def begin(worker_id: int) -> None:
-            shard = (
-                str(journal.shard_path(worker_id))
-                if journal is not None
-                else None
-            )
+            shard = str(journal.shard_path(worker_id)) if journal else None
             pool.send(worker_id, ("begin", names, shard, trace))
             ledger[worker_id] = deque()
 
@@ -621,49 +557,22 @@ class ParallelExecutor:
                 return
             while len(dealt) < PREFILL and bag:
                 chunk_id, chunk = bag.popleft()
-                pool.send(
-                    worker_id, ("chunk", chunk_id, pickle.dumps(chunk))
-                )
+                pool.send(worker_id, ("chunk", chunk_id, pickle.dumps(chunk)))
                 dealt.append((chunk_id, chunk))
 
-        def journal_quarantine() -> None:
-            # Quarantined programs never complete in any worker, so
-            # their summaries go into the *main* checkpoint directly
-            # (together with any resumed reports); the shard merge
-            # folds the union, and an interrupt or crash at any moment
-            # leaves them journaled.
-            if journal is None:
-                return
-            summaries = {
-                name: report.to_summary() for name, report in done.items()
-            }
-            summaries.update(
-                {
-                    name: report.to_summary()
-                    for name, report in quarantined.items()
-                }
-            )
-            journal.write_summaries(
-                names,
-                [summaries[name] for name in names if name in summaries],
-            )
-
         def quarantine(program: Program) -> None:
-            report = quarantine_report(
-                program.name,
-                kill_counts[program.name],
-                options.fault_plan,
-            )
-            quarantined[program.name] = report
-            remaining.discard(program.name)
+            kills = kill_counts[program.name]
             supervision.bump("quarantined")
-            journal_quarantine()
-            notify(report)
             log.warning(
                 "parallel: quarantined %s after it killed %d worker(s)",
                 program.name,
-                kill_counts[program.name],
+                kills,
             )
+            # Quarantined programs never complete in any worker, so
+            # settling journals them in the *main* checkpoint directly;
+            # the shard merge folds the union, and an interrupt or
+            # crash at any moment leaves them journaled.
+            batch.settle(quarantine_report(program.name, kills, options.fault_plan))
 
         def journaled_names(worker_id: int) -> set[str]:
             # What the dead worker durably finished: its shard is
@@ -671,7 +580,7 @@ class ParallelExecutor:
             # not fully present in it is where the worker died.
             if journal is None:
                 return set()
-            shard = BatchCheckpoint(journal.shard_path(worker_id))
+            shard = journal.shard(worker_id)
             if not shard.exists():
                 return set()
             try:
@@ -694,9 +603,7 @@ class ParallelExecutor:
                     progressed = True
                     if len(chunk) == 1:
                         program = chunk[0]
-                        kill_counts[program.name] = (
-                            kill_counts.get(program.name, 0) + 1
-                        )
+                        kill_counts[program.name] = kill_counts.get(program.name, 0) + 1
                         if kill_counts[program.name] >= retries:
                             quarantine(program)
                         else:
@@ -721,7 +628,7 @@ class ParallelExecutor:
                 else:
                     # Innocent: journaled already (its result may be in
                     # flight or lost with the worker -- re-running is
-                    # deterministic and the merge dedups by name) or
+                    # deterministic and settling dedups by name) or
                     # dealt behind the suspect and never started.
                     bag.append((chunk_id, chunk))
                     supervision.bump("chunks_redealt")
@@ -733,9 +640,7 @@ class ParallelExecutor:
                 # crash-looping pool (e.g. seed state that cannot
                 # rehydrate), which re-dealing cannot fix.
                 unproductive_respawns += 1
-                if unproductive_respawns > max(
-                    0, options.max_worker_respawns
-                ):
+                if unproductive_respawns > max(0, options.max_worker_respawns):
                     raise ParallelExecutionError(
                         f"worker pool is crash-looping: "
                         f"{unproductive_respawns} consecutive respawns "
@@ -767,8 +672,7 @@ class ParallelExecutor:
         for worker_id in pool.active_ids():
             fill(worker_id)
 
-        chunk_results: list[tuple[list[dict], dict, dict]] = []
-        while remaining:
+        while not batch.complete:
             message = self._receive(pool)
             kind = message[0]
             if kind == "dead":
@@ -777,8 +681,7 @@ class ParallelExecutor:
                 for worker_id in pool.active_ids():
                     fill(worker_id)
             elif kind == "chunk":
-                _, worker_id, chunk_id, summaries, metrics, costs = message
-                chunk_results.append((summaries, metrics, costs))
+                _, worker_id, chunk_id, results = message
                 unproductive_respawns = 0
                 dealt = ledger.get(worker_id)
                 if dealt is not None:
@@ -786,43 +689,40 @@ class ParallelExecutor:
                         if dealt_id == chunk_id:
                             del dealt[index]
                             break
-                for summary in summaries:
-                    remaining.discard(summary["program"])
-                if progress is not None:
-                    for summary in summaries:
-                        if summary["program"] in reported:
-                            continue
-                        report = ConversionReport.from_summary(summary)
-                        raw = metrics.get(report.program_name)
-                        report.metrics = dict(raw) if raw is not None else None
-                        report.cost = costs.get(report.program_name)
-                        notify(report)
+                for result in results:
+                    batch.settle_result(*result)
                 fill(worker_id)
-            elif kind == "flush":  # pragma: no cover - defensive
-                continue
-            else:  # ("error", worker_id, detail)
+            elif kind == "error":  # ("error", worker_id, detail)
                 raise ParallelExecutionError(
                     f"worker {message[1]} failed: {message[2]}; "
                     "completed programs are journaled in the checkpoint "
                     "shards -- rerun with resume to finish the batch"
                 )
 
-        # Every program is accounted for; flush the survivors for
-        # their observability deltas (metrics, spans).
+        return self._flush(pool) or []
+
+    def _flush(self, pool: WorkerPool, deadline: float | None = None) -> list | None:
+        """Flush every in-service worker and collect its observability
+        delta (metrics, spans): the one wait loop behind both the end
+        of a batch and the drain.
+
+        Returns the flushes in worker-id order, or ``None`` when the
+        ``deadline`` (a ``time.monotonic()`` instant) passes first.  A
+        worker that dies here loses only its delta.  Chunk results
+        still arriving are dropped: after every program settled they
+        are re-dealt duplicates, and in a drain their shards hold them.
+        """
         expected = set(pool.active_ids())
         for worker_id in sorted(expected):
             pool.flush(worker_id)
         flushes: dict[int, tuple] = {}
         while expected - set(flushes):
-            message = self._receive(pool)
+            message = self._receive(pool, deadline)
             kind = message[0]
-            if kind == "flush":
-                if message[1] in expected:
-                    flushes[message[1]] = message
-            elif kind == "chunk":
-                # A re-dealt duplicate whose original result raced the
-                # end of the batch; keep it -- the merge dedups.
-                chunk_results.append((message[3], message[4], message[5]))
+            if kind == "timeout":
+                return None
+            if kind == "flush" and message[1] in expected:
+                flushes[message[1]] = message
             elif kind == "dead":
                 for worker_id in message[1]:
                     pool.retire(worker_id)
@@ -833,13 +733,7 @@ class ParallelExecutor:
                             "its observability delta is lost",
                             worker_id,
                         )
-            else:  # pragma: no cover - defensive
-                raise ParallelExecutionError(
-                    f"worker {message[1]} failed during flush: "
-                    f"{message[2]}"
-                )
-        ordered_flushes = [flushes[k] for k in sorted(flushes)]
-        return chunk_results, ordered_flushes, quarantined
+        return [flushes[k] for k in sorted(flushes)]
 
     def _backoff(self, total_respawns: int, unproductive: int) -> None:
         """Sleep before a respawn: exponential in the consecutive
@@ -856,15 +750,18 @@ class ParallelExecutor:
         )
         time.sleep(delay + jitter)
 
-    def _receive(self, pool: WorkerPool) -> tuple:
+    def _receive(self, pool: WorkerPool, deadline: float | None = None) -> tuple:
         """Wait for the next worker message, watching pool health.
 
         A separate method so the fault-injection harness can arm the
         coordinator's receive path (e.g. raising KeyboardInterrupt to
         model a mid-batch Ctrl-C at a precise point).  Dead workers are
         reported as a synthetic ``("dead", [worker_id, ...])`` message
-        for the supervision loop to reclaim and respawn."""
+        for the supervision loop to reclaim and respawn, and a passed
+        ``deadline`` as ``("timeout",)``."""
         while True:
+            if deadline is not None and time.monotonic() >= deadline:
+                return ("timeout",)
             try:
                 return pool.receive(timeout=self.options.poll_interval)
             except Empty:
@@ -872,154 +769,40 @@ class ParallelExecutor:
                 if dead:
                     return ("dead", dead)
 
-    def _drain(
-        self,
-        pool: WorkerPool,
-        names: list[str],
-        journal: BatchCheckpoint | None,
-    ) -> None:
+    def _drain(self, pool: WorkerPool, batch: BatchRun) -> None:
         """Graceful-interrupt path: let in-flight chunks finish and
         journal, stop dispatching, fold every shard into the main
         checkpoint, and leave the pool idle (warm) or terminated.
 
         Called with the interrupt pending; the caller re-raises it once
         the journal is resumable."""
-        active = set(pool.active_ids())
         log.warning(
             "parallel: interrupted -- draining %d worker(s), "
             "in-flight chunks will be journaled",
-            len(active),
+            len(pool.active_ids()),
         )
-        deadline = time.monotonic() + self.options.drain_timeout
         try:
-            for worker_id in sorted(active):
-                pool.flush(worker_id)
-            flushed: set[int] = set()
-            while (
-                len(flushed) < len(active)
-                and time.monotonic() < deadline
-            ):
-                try:
-                    message = pool.receive(
-                        timeout=self.options.poll_interval
-                    )
-                except Empty:
-                    if not set(pool.active_ids()) - set(
-                        pool.dead_workers()
-                    ):
-                        break
-                    continue
-                if message[0] == "flush":
-                    flushed.add(message[1])
-            if len(flushed) < len(active):
-                log.warning(
-                    "parallel: drain deadline exceeded; terminating workers"
-                )
+            deadline = time.monotonic() + self.options.drain_timeout
+            if self._flush(pool, deadline) is None:
+                log.warning("parallel: drain deadline exceeded; terminating workers")
                 pool.terminate()
         except (KeyboardInterrupt, SystemExit):
             # A second interrupt mid-drain: stop waiting, kill the pool,
             # still fold whatever the shards already hold.
             pool.terminate()
         finally:
-            if journal is not None:
-                journal.merge_shards(names)
+            if batch.journal is not None:
+                batch.journal.merge_shards(batch.names)
                 log.warning(
                     "parallel: progress journaled to %s -- rerun with "
                     "resume to finish the batch",
-                    journal.path,
+                    batch.journal.path,
                 )
-
-    # -- the deterministic merge --------------------------------------
-
-    def _merge(
-        self,
-        chunk_results: list[tuple[list[dict], dict, dict]],
-        flushes: list[tuple],
-        names: list[str],
-        done: dict[str, ConversionReport],
-        journal: BatchCheckpoint | None,
-        coordinator_base: float,
-        quarantined: dict[str, ConversionReport] | None = None,
-    ) -> BatchReport:
-        by_name: dict[str, ConversionReport] = dict(done)
-        if quarantined:
-            by_name.update(quarantined)
-        for summaries, metrics, costs in chunk_results:
-            for summary in summaries:
-                report = ConversionReport.from_summary(summary)
-                raw_metrics = metrics.get(report.program_name)
-                report.metrics = (dict(raw_metrics)
-                                  if raw_metrics is not None else None)
-                report.cost = costs.get(report.program_name)
-                by_name[report.program_name] = report
-        for _, worker_id, delta, spans, clock_base in flushes:
-            self._absorb_registry(delta)
-            self._absorb_trace(worker_id, spans, clock_base, coordinator_base,
-                               delta)
-
-        missing = [name for name in names if name not in by_name]
-        if missing:
-            raise ParallelExecutionError(
-                f"parallel batch lost programs: {missing}"
-            )
-
-        if journal is not None:
-            journal.merge_shards(names)
-
-        batch = BatchReport()
-        for name in names:
-            batch.add(by_name[name])
-        return batch
-
-    def _absorb_registry(self, delta: dict[str, int]) -> None:
-        if not delta:
-            return
-        source = FrozenMetricsSource(delta)
-        self.absorbed.append(source)
-        get_registry().register(source)
-
-    def _absorb_trace(
-        self,
-        worker_id: int,
-        spans: list[dict],
-        clock_base: float,
-        coordinator_base: float,
-        delta: dict[str, int] | None = None,
-    ) -> None:
-        tracer = current_tracer()
-        if tracer is None or not spans:
-            return
-        cost_attrs = {
-            name.replace(".", "_"): value
-            for name, value in (delta or {}).items()
-            if name.startswith("cost.")
-        }
-        merge_worker_trace(
-            tracer,
-            worker_id,
-            spans,
-            worker_base=clock_base,
-            coordinator_base=coordinator_base,
-            **cost_attrs,
-        )
-
-
-def run_parallel_batch(
-    cascade: FallbackCascade,
-    programs: list[Program],
-    options: ConversionOptions | None = None,
-    pool: WorkerPool | None = None,
-    progress: ProgressCallback | None = None,
-) -> BatchReport:
-    """Run a batch with ``options.jobs`` workers (function form)."""
-    return ParallelExecutor(
-        cascade, programs, options, pool=pool, progress=progress
-    ).run()
 
 
 __all__ = [
     "ParallelExecutionError",
     "ParallelExecutor",
     "WorkerPool",
-    "run_parallel_batch",
+    "use_pool",
 ]

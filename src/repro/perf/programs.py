@@ -335,8 +335,8 @@ def measure_parallel_scaling(jobs_curve: tuple[int, ...] = FULL_JOBS_CURVE,
     """
     import json as _json
 
+    from repro.api import convert_batch
     from repro.options import ConversionOptions
-    from repro.parallel import run_parallel_batch
     from repro.workloads.inventory import (
         InventorySpec,
         generate_inventory,
@@ -360,7 +360,7 @@ def measure_parallel_scaling(jobs_curve: tuple[int, ...] = FULL_JOBS_CURVE,
         fixed_cascade = inventory_cascade(spec, strategy_order="fixed")
         started = time.perf_counter()
         with span("bench.fixed-order-batch", programs=len(programs)):
-            fixed_batch = run_parallel_batch(
+            fixed_batch = convert_batch(
                 fixed_cascade, programs,
                 options.replace(jobs=1, strategy_order="fixed"))
         fixed_seconds = time.perf_counter() - started
@@ -379,8 +379,8 @@ def measure_parallel_scaling(jobs_curve: tuple[int, ...] = FULL_JOBS_CURVE,
             started = time.perf_counter()
             with span("bench.parallel-batch", jobs=jobs,
                       programs=len(programs)):
-                batch = run_parallel_batch(cascade, programs,
-                                           options.replace(jobs=jobs))
+                batch = convert_batch(cascade, programs,
+                                      options.replace(jobs=jobs))
             seconds = time.perf_counter() - started
             rendered = _json.dumps(
                 [report.to_summary() for report in batch.reports])

@@ -15,7 +15,7 @@ Layout:
 * :mod:`repro.service.jobs` -- submission validation, the spooled
   :class:`~repro.service.jobs.Job`, and the
   :class:`~repro.service.jobs.JobManager` (queue, executor thread,
-  warm-pool cache, graceful drain);
+  warm cascade-and-pool cache, graceful drain);
 * :mod:`repro.service.server` -- the HTTP handler,
   :class:`~repro.service.server.ConversionService` for embedding, and
   the blocking :func:`~repro.service.server.serve` entry point;

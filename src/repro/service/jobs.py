@@ -12,13 +12,17 @@ CLI writes), and its report artifact (``report.json``) -- all written
 through :func:`repro.jsonio.write_json_atomic`, so a crash at any
 instant leaves parseable state.
 
-Execution routes through the public facade
+The service owns queueing, spooling, and events; conversion itself
+is the batch core's.  Execution routes through the public facade
 (:func:`repro.api.build_cascade` + :func:`repro.api.convert_batch`),
 which is the byte-identity contract: a served job's checkpoint and
 report are the same bytes a ``repro convert`` run of the same
-artifacts produces.  Progress streams out as in-memory events (see
-:meth:`Job.follow`): per-program events from the batch layer's
-progress callback, span events from a
+artifacts produces.  Between jobs the manager keeps one warm entry --
+the built cascade and, once a job needs one, its worker pool -- keyed
+by :func:`pool_key`; whether a job needs a pool is decided by
+:func:`repro.parallel.use_pool`, the executor's own rule.  Progress
+streams out as in-memory events (see :meth:`Job.follow`): per-program
+events from the batch core's progress callback, span events from a
 :class:`~repro.observe.stream.StreamingTracer`, and a final counter
 delta of the ``supervision.*`` / ``cost.*`` registries.
 
@@ -54,9 +58,10 @@ from repro.observe.stream import (
     span_event,
 )
 from repro.options import ConversionOptions
-from repro.parallel import ParallelExecutionError, WorkerPool
+from repro.parallel import ParallelExecutionError, WorkerPool, use_pool
 from repro.programs.interpreter import ProgramInputs
 from repro.programs.parser import parse_program
+from repro.strategies.cascade import FallbackCascade
 
 log = logging.getLogger(__name__)
 
@@ -381,7 +386,7 @@ def pool_key(submission: dict[str, Any]) -> str:
 
 class JobManager:
     """Bounded job queue, executor thread, spool persistence, and the
-    warm-pool cache.
+    warm cascade-and-pool cache.
 
     ``queue_limit`` bounds *waiting* jobs (HTTP 503 when full) -- the
     backpressure that keeps a flood of submissions from exhausting the
@@ -391,23 +396,17 @@ class JobManager:
     process-wide metrics registry's per-job deltas meaningful.
     """
 
-    def __init__(
-        self,
-        spool: "str | Path",
-        queue_limit: int = 16,
-        warm_pools: bool = True,
-    ):
+    def __init__(self, spool: "str | Path", queue_limit: int = 16):
         if queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
         self.spool = Path(spool)
         self.spool.mkdir(parents=True, exist_ok=True)
         self.queue: "queue.Queue[Job]" = queue.Queue(maxsize=queue_limit)
         self.jobs: dict[str, Job] = {}
-        self.warm_pools = warm_pools
         self._lock = threading.Lock()
         self._stop = threading.Event()
-        self._pool: tuple[str, WorkerPool] | None = None
-        self._cascade: tuple[str, Any] | None = None
+        #: The cache of one: ``(pool_key, cascade, pool or None)``.
+        self._warm: tuple[str, FallbackCascade, WorkerPool | None] | None = None
         self._counter = 0
         self._restore_spool()
         self._executor = threading.Thread(
@@ -599,68 +598,44 @@ class JobManager:
             program_timeout=submitted.get("program_timeout"),
         )
 
-    def _pool_for(
-        self,
-        job: Job,
-        cascade: Any,
-        options: ConversionOptions,
-        pending: int,
-    ) -> WorkerPool | None:
-        """The shared warm pool, when this job can use one.
+    def _warm_for(
+        self, job: Job, options: ConversionOptions
+    ) -> tuple[FallbackCascade, WorkerPool | None]:
+        """The job's cascade and, when :func:`use_pool` says the job
+        runs on one, its warm worker pool.
 
         Cache of one: the common served pattern is a stream of jobs
         over the same application system, and those all hit the same
-        key.  A job with a different seed closes the cached pool and
-        warms its own."""
-        if not self.warm_pools:
-            return None
-        jobs = options.resolved_jobs()
-        if jobs <= 1 or pending < options.resolved_parallel_threshold(jobs):
-            return None
-        key = pool_key(job.submission)
-        with self._lock:
-            if self._pool is not None:
-                cached_key, cached = self._pool
-                if cached_key == key and not cached.closed:
-                    return cached
-                cached.close()
-                self._pool = None
-        pool = WorkerPool(cascade, options, jobs=jobs)
-        with self._lock:
-            self._pool = (key, pool)
-        return pool
-
-    def _cascade_for(self, job: Job, options: ConversionOptions) -> Any:
-        """The shared cascade, cache-of-one keyed like the warm pool.
-
-        Building a cascade replays the DDL parse, the loader program,
-        and the restructuring -- the dominant per-job cost for a
-        stream of jobs over one application system.  Probes roll every
-        mutation back inside savepoints, so a reused cascade's probe
-        databases are byte-identical to freshly built ones; only the
-        cascade's ``cost.*`` counters accumulate, and those never
-        reach report or checkpoint bytes."""
+        key.  Building a cascade replays the DDL parse, the loader
+        program, and the restructuring -- the dominant per-job cost --
+        and spawning a pool rehydrates the seed in every worker.  Probes
+        roll every mutation back inside savepoints, so a reused
+        cascade's probe databases (and a warm worker's) are
+        byte-identical to freshly built ones; only the cascade's
+        ``cost.*`` counters accumulate, and those never reach report or
+        checkpoint bytes.  A job with a different key closes the cached
+        pool and warms its own entry."""
         submission = job.submission
-        if not self.warm_pools:
-            return api.build_cascade(
+        key = pool_key(submission)
+        with self._lock:
+            warm = self._warm
+        if warm is None or warm[0] != key:
+            if warm is not None and warm[2] is not None:
+                warm[2].close()
+            cascade = api.build_cascade(
                 submission["ddl"],
                 submission["spec"],
                 data=submission.get("data"),
                 options=options,
             )
-        key = pool_key(submission)
+            warm = (key, cascade, None)
+        _, cascade, pool = warm
+        wanted = use_pool(options, len(submission["programs"]))
+        if wanted and (pool is None or pool.closed):
+            pool = WorkerPool(cascade, options, jobs=options.resolved_jobs())
         with self._lock:
-            if self._cascade is not None and self._cascade[0] == key:
-                return self._cascade[1]
-        cascade = api.build_cascade(
-            submission["ddl"],
-            submission["spec"],
-            data=submission.get("data"),
-            options=options,
-        )
-        with self._lock:
-            self._cascade = (key, cascade)
-        return cascade
+            self._warm = (key, cascade, pool)
+        return cascade, pool if wanted else None
 
     def _execute(self, job: Job) -> None:
         job.set_state(STATE_RUNNING)
@@ -670,9 +645,8 @@ class JobManager:
         before = registry.snapshot()
         try:
             options = self._options_for(job)
-            cascade = self._cascade_for(job, options)
+            cascade, pool = self._warm_for(job, options)
             programs = [parse_program(text) for text in submission["programs"]]
-            pool = self._pool_for(job, cascade, options, len(programs))
 
             def progress(
                 report: ConversionReport,
@@ -748,10 +722,9 @@ class JobManager:
                 break
             self._park(job)
         with self._lock:
-            if self._pool is not None:
-                self._pool[1].close()
-                self._pool = None
-            self._cascade = None
+            warm, self._warm = self._warm, None
+        if warm is not None and warm[2] is not None:
+            warm[2].close()
         for job in list(self.jobs.values()):
             with job.cond:
                 job.cond.notify_all()

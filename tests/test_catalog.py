@@ -468,15 +468,15 @@ def test_cascade_cache_reuses_by_key_and_splits_on_rules(tmp_path):
     try:
         options = ConversionOptions()
         job = SimpleNamespace(submission=_submission())
-        first = manager._cascade_for(job, options)
-        second = manager._cascade_for(job, options)
+        first = manager._warm_for(job, options)[0]
+        second = manager._warm_for(job, options)[0]
         assert second is first
         rules = (EXAMPLES / "store-default.rules").read_text()
         spec_job = SimpleNamespace(
             submission=_submission(spec=GRADE_SPEC, rules=rules))
-        rebuilt = manager._cascade_for(
+        rebuilt = manager._warm_for(
             spec_job,
-            ConversionOptions(rule_catalog=api.load_rule_catalog(rules)))
+            ConversionOptions(rule_catalog=api.load_rule_catalog(rules)))[0]
         assert rebuilt is not first
     finally:
         manager.stop()

@@ -14,6 +14,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import api
 from repro.analysis.variability import (
     VERB_VARIABILITY_DETAIL,
     detect_verb_variability,
@@ -26,7 +27,6 @@ from repro.core.supervisor import ScriptedAnalyst
 from repro.errors import AnalysisError
 from repro.cost import CostPredictor
 from repro.options import ConversionOptions
-from repro.parallel import run_parallel_batch
 from repro.programs import ast
 from repro.programs import builder as b
 from repro.programs.interpreter import ProgramInputs
@@ -314,7 +314,7 @@ class TestByteIdentityMatrix:
 
         parallel_path = tmp_path / "parallel.json"
         parallel_cascade = inventory_cascade(spec)
-        parallel = run_parallel_batch(
+        parallel = api.convert_batch(
             parallel_cascade, programs,
             BATCH_OPTIONS.replace(jobs=4, checkpoint=parallel_path))
 

@@ -11,9 +11,9 @@ import gc
 
 import pytest
 
+from repro import api
 from repro.batch import run_batch
 from repro.options import ConversionOptions
-from repro.parallel import run_parallel_batch
 from repro.programs.interpreter import ProgramInputs
 from repro.workloads.inventory import (
     CLEAN_KINDS,
@@ -72,7 +72,7 @@ class TestDeterminism:
         assert summaries(again) == summaries(serial)
         for jobs in (2, 3):
             path = tmp_path / f"jobs{jobs}.json"
-            parallel = run_parallel_batch(
+            parallel = api.convert_batch(
                 inventory_cascade(SPEC),
                 programs,
                 OPTIONS.replace(jobs=jobs, checkpoint=path))
@@ -141,6 +141,6 @@ class TestConversion:
         spec = InventorySpec(programs=24, pathology_rate=rate)
         programs = [item.program for item in generate_inventory(spec)]
         serial = run_batch(inventory_cascade(spec), programs, OPTIONS)
-        parallel = run_parallel_batch(inventory_cascade(spec), programs,
-                                      OPTIONS.replace(jobs=2))
+        parallel = api.convert_batch(inventory_cascade(spec), programs,
+                                     OPTIONS.replace(jobs=2))
         assert summaries(parallel) == summaries(serial)

@@ -19,13 +19,14 @@ import pytest
 
 import repro.batch
 import repro.jsonio
+from repro import api
 from repro.batch import BatchCheckpoint, run_batch
 from repro.faultinject import InjectedFault, inject, plan_faults
 from repro.observe.merge import WORKER_ROOT
 from repro.observe.registry import get_registry
 from repro.observe.tracing import Tracer
 from repro.options import ConversionOptions
-from repro.parallel import ParallelExecutor, WorkerPool, run_parallel_batch
+from repro.parallel import ParallelExecutor, WorkerPool
 from repro.programs.interpreter import ProgramInputs
 from repro.restructure import restructure_database
 from repro.strategies.cascade import FallbackCascade
@@ -75,7 +76,7 @@ class TestParallelMatchesSerial:
 
         serial = run_batch(fresh_cascade(), programs,
                            OPTIONS.replace(checkpoint=serial_path))
-        parallel = run_parallel_batch(
+        parallel = api.convert_batch(
             fresh_cascade(), programs,
             OPTIONS.replace(jobs=2, checkpoint=parallel_path))
 
@@ -100,8 +101,8 @@ class TestParallelMatchesSerial:
         assert faulted, "corpus must include a reference-run fault"
         assert all(r.metrics is None and r.cost is None for r in faulted)
 
-        parallel = run_parallel_batch(fresh_cascade(), programs,
-                                      options.replace(jobs=2))
+        parallel = api.convert_batch(fresh_cascade(), programs,
+                                     options.replace(jobs=2))
         assert summaries(parallel) == summaries(serial)
         assert [r.metrics for r in parallel.reports] == \
             [r.metrics for r in serial.reports]
@@ -116,8 +117,8 @@ class TestParallelMatchesSerial:
         options = OPTIONS.replace(fault_plan=plan)
 
         serial = run_batch(fresh_cascade(), programs, options)
-        parallel = run_parallel_batch(fresh_cascade(), programs,
-                                      options.replace(jobs=3))
+        parallel = api.convert_batch(fresh_cascade(), programs,
+                                     options.replace(jobs=3))
         assert summaries(parallel) == summaries(serial)
         # The plan visibly changed outcomes vs a fault-free run.
         clean = run_batch(fresh_cascade(), programs, OPTIONS)
@@ -135,8 +136,8 @@ class TestFastPathAndResume:
     def test_jobs_1_never_touches_the_pool(self, monkeypatch):
         _no_pool(monkeypatch, "jobs=1 must not create a worker pool")
         programs = corpus_programs(0.0, size=3)
-        batch = run_parallel_batch(fresh_cascade(), programs,
-                                   OPTIONS.replace(jobs=1))
+        batch = api.convert_batch(fresh_cascade(), programs,
+                                  OPTIONS.replace(jobs=1))
         assert len(batch.reports) == len(programs)
 
     def test_single_pending_program_takes_fast_path(self, monkeypatch,
@@ -152,7 +153,7 @@ class TestFastPathAndResume:
         path.write_text(json.dumps(data))
 
         _no_pool(monkeypatch, "one pending program must not fork")
-        batch = run_parallel_batch(
+        batch = api.convert_batch(
             fresh_cascade(), programs,
             OPTIONS.replace(jobs=4, checkpoint=path, resume=True))
         assert len(batch.reports) == len(programs)
@@ -174,7 +175,7 @@ class TestFastPathAndResume:
         journal.shard(1).write_summaries(
             names, [reference.reports[1].to_summary()])
 
-        resumed = run_parallel_batch(
+        resumed = api.convert_batch(
             fresh_cascade(), programs,
             OPTIONS.replace(jobs=2, checkpoint=crashed, resume=True))
         assert summaries(resumed) == summaries(reference)
@@ -193,13 +194,13 @@ class TestFastPathAndResume:
         path = tmp_path / "batch.json"
         with inject(repro.batch, "write_json_atomic", nth=1):
             with pytest.raises(InjectedFault):
-                run_parallel_batch(fresh_cascade(), programs,
-                                   OPTIONS.replace(jobs=2,
-                                                   checkpoint=path))
+                api.convert_batch(fresh_cascade(), programs,
+                                  OPTIONS.replace(jobs=2,
+                                                  checkpoint=path))
         shards = BatchCheckpoint(path).shard_paths()
         assert shards, "merge-window crash must leave the shards behind"
 
-        resumed = run_parallel_batch(
+        resumed = api.convert_batch(
             fresh_cascade(), programs,
             OPTIONS.replace(jobs=2, checkpoint=path, resume=True))
         assert len(resumed.reports) == len(programs)
@@ -216,7 +217,7 @@ class TestAutoDegrade:
         programs = corpus_programs(0.25)
         serial = run_batch(fresh_cascade(), programs, OPTIONS)
         with caplog.at_level(logging.INFO, logger="repro.parallel"):
-            batch = run_parallel_batch(
+            batch = api.convert_batch(
                 fresh_cascade(), programs,
                 OPTIONS.replace(jobs=8, parallel_threshold=None))
         assert summaries(batch) == summaries(serial)
@@ -284,7 +285,7 @@ class TestWarmPool:
                            OPTIONS.replace(checkpoint=serial_path))
         for chunk_size in (1, 2, 5):
             path = tmp_path / f"chunk{chunk_size}.json"
-            batch = run_parallel_batch(
+            batch = api.convert_batch(
                 fresh_cascade(), programs,
                 OPTIONS.replace(jobs=2, chunk_size=chunk_size,
                                 checkpoint=path))
@@ -293,8 +294,8 @@ class TestWarmPool:
 
     def test_owned_pool_is_closed_after_the_run(self):
         programs = corpus_programs(0.0)
-        run_parallel_batch(fresh_cascade(), programs,
-                           OPTIONS.replace(jobs=2))
+        api.convert_batch(fresh_cascade(), programs,
+                          OPTIONS.replace(jobs=2))
         assert not [proc for proc in multiprocessing.active_children()
                     if proc.name.startswith("repro-worker-")]
 
@@ -330,7 +331,7 @@ class TestGracefulInterrupt:
         drained = len(json.loads(path.read_text())["completed"])
         assert drained >= 1, "in-flight chunks must finish and journal"
 
-        resumed = run_parallel_batch(
+        resumed = api.convert_batch(
             fresh_cascade(), programs,
             OPTIONS.replace(jobs=2, checkpoint=path, resume=True))
         assert len(resumed.reports) == len(programs)
@@ -364,8 +365,8 @@ class TestObservabilityMerge:
         programs = corpus_programs(0.0)
         tracer = Tracer()
         with tracer:
-            run_parallel_batch(fresh_cascade(), programs,
-                               OPTIONS.replace(jobs=2))
+            api.convert_batch(fresh_cascade(), programs,
+                              OPTIONS.replace(jobs=2))
         worker_roots = [root for root in tracer.roots
                         if root.name == WORKER_ROOT]
         assert {root.attrs["worker"] for root in worker_roots} == {0, 1}
@@ -378,8 +379,8 @@ class TestObservabilityMerge:
         programs = corpus_programs(0.0)
         tracer = Tracer()
         with tracer:
-            run_parallel_batch(fresh_cascade(), programs,
-                               OPTIONS.replace(jobs=2))
+            api.convert_batch(fresh_cascade(), programs,
+                              OPTIONS.replace(jobs=2))
         roots = [root for root in tracer.roots if root.name == WORKER_ROOT]
         assert roots
         for root in roots:

@@ -12,6 +12,7 @@ import pytest
 
 from repro import api
 from repro.cli import main
+from repro.observe.registry import get_registry, registry_delta
 from repro.observe.stream import StreamingTracer, span_event
 from repro.options import ConversionOptions
 from repro.programs.interpreter import ProgramInputs
@@ -274,14 +275,54 @@ def test_job_manager_warm_pool_is_shared_across_jobs(tmp_path):
         options = {"jobs": 2, "parallel_threshold": 2, "chunk_size": 1}
         first = manager.submit(submission(4, options=options))
         assert wait_terminal(first) == jobs_mod.STATE_COMPLETED
-        assert manager._pool is not None
-        pool = manager._pool[1]
+        assert manager._warm[2] is not None
+        pool = manager._warm[2]
         second = manager.submit(submission(4, options=options))
         assert wait_terminal(second) == jobs_mod.STATE_COMPLETED
-        assert manager._pool is not None
-        assert manager._pool[1] is pool  # same warm pool, no respawn
+        assert manager._warm[2] is not None
+        assert manager._warm[2] is pool  # same warm pool, no respawn
         assert second.counts == {"converted-with-warnings": 4}
         assert [n for _, n, _ in second.events].count("program") == 4
+    finally:
+        manager.stop()
+
+
+POOL_OPTIONS = {"jobs": 2, "parallel_threshold": 2, "chunk_size": 1}
+
+
+def counter_movement(delta):
+    return {name: value for name, value in delta.items()
+            if name.startswith(("cost.", "supervision."))}
+
+
+def test_worker_counters_outlive_the_batch_call():
+    """Pool workers' counter deltas stay in the registry after
+    ``api.convert_batch`` returns, so the movement across the call is
+    the same at jobs=1 and jobs=2."""
+    programs = [parse_program(text) for text in corpus(4)]
+    registry = get_registry()
+    moved = {}
+    for jobs in (1, 2):
+        options = ConversionOptions(inputs=ProgramInputs(terminal=[]),
+                                    **{**POOL_OPTIONS, "jobs": jobs})
+        cascade = build_cascade(options)
+        before = registry.snapshot()
+        api.convert_batch(cascade, programs, options)
+        moved[jobs] = counter_movement(
+            registry_delta(before, registry.snapshot()))
+        del cascade
+    assert moved[1].get("cost.predictions") == 4
+    assert moved[2] == moved[1]
+
+
+def test_served_pool_job_emits_worker_counters(tmp_path):
+    manager = JobManager(tmp_path / "spool")
+    try:
+        job = manager.submit(submission(4, options=POOL_OPTIONS))
+        assert wait_terminal(job) == jobs_mod.STATE_COMPLETED
+        counters = [data["counters"] for _, name, data in job.events
+                    if name == "counters"]
+        assert counters and counters[0].get("cost.predictions") == 4
     finally:
         manager.stop()
 

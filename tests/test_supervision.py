@@ -15,7 +15,8 @@ import multiprocessing
 
 import pytest
 
-from repro.batch import BatchCheckpoint, run_batch
+from repro import api
+from repro.batch import BatchCheckpoint, BatchRun, run_batch
 from repro.core.report import STATUS_FAILED, STATUS_QUARANTINED
 from repro.faultinject import (
     FAULT_KINDS,
@@ -29,11 +30,7 @@ from repro.faultinject import (
 )
 from repro.observe.registry import get_registry, registry_delta
 from repro.options import ConversionOptions
-from repro.parallel import (
-    ParallelExecutionError,
-    ParallelExecutor,
-    run_parallel_batch,
-)
+from repro.parallel import ParallelExecutionError, ParallelExecutor
 from repro.programs.interpreter import (
     ProgramInputs,
     ProgramTimeout,
@@ -160,7 +157,7 @@ class TestParallelChaosMatchesSerial:
         serial = run_batch(fresh_cascade(), programs,
                            CHAOS.replace(fault_plan=plan,
                                          checkpoint=serial_path))
-        parallel = run_parallel_batch(
+        parallel = api.convert_batch(
             fresh_cascade(), programs,
             CHAOS.replace(fault_plan=plan, jobs=jobs,
                           checkpoint=parallel_path))
@@ -187,7 +184,7 @@ class TestParallelChaosMatchesSerial:
                                          checkpoint=serial_path))
         registry = get_registry()
         before = registry.snapshot()
-        parallel = run_parallel_batch(
+        parallel = api.convert_batch(
             fresh_cascade(), programs,
             CHAOS.replace(fault_plan=plan, jobs=2, chunk_size=3,
                           checkpoint=parallel_path))
@@ -212,8 +209,8 @@ class TestParallelChaosMatchesSerial:
             cascade = fresh_cascade()  # gc.collect()s before the snapshot
             before = registry.snapshot()
             if parallel_mode:
-                run_parallel_batch(cascade, programs,
-                                   options.replace(jobs=2))
+                api.convert_batch(cascade, programs,
+                                  options.replace(jobs=2))
             else:
                 run_batch(cascade, programs, options)
             delta = registry_delta(before, registry.snapshot())
@@ -243,7 +240,7 @@ class TestParallelChaosMatchesSerial:
         assert no_workers_left()
         assert BatchCheckpoint(path).exists()
 
-        resumed = run_parallel_batch(
+        resumed = api.convert_batch(
             fresh_cascade(), programs,
             CHAOS.replace(fault_plan=plan, jobs=2, checkpoint=path,
                           resume=True))
@@ -291,7 +288,7 @@ class TestResumeAfterQuarantine:
         data["completed"] = data["completed"][:3]
         path.write_text(json.dumps(data, indent=2) + "\n")
 
-        resumed = run_parallel_batch(
+        resumed = api.convert_batch(
             fresh_cascade(), programs,
             CHAOS.replace(jobs=2, checkpoint=path, resume=True))
         assert resumed.reports[0].status == STATUS_QUARANTINED
@@ -328,7 +325,7 @@ class TestWatchdog:
 
         serial = run_batch(fresh_cascade(), programs,
                            options.replace(checkpoint=serial_path))
-        parallel = run_parallel_batch(
+        parallel = api.convert_batch(
             fresh_cascade(), programs,
             options.replace(jobs=2, checkpoint=parallel_path))
         assert summaries(parallel) == summaries(serial)
@@ -424,18 +421,20 @@ class TestRespawnBudget:
             CHAOS.replace(max_worker_respawns=1, checkpoint=journal.path))
         with pytest.raises(ParallelExecutionError,
                            match="crash-looping.*resume"):
-            executor._run_pool(FakePool(), programs, names, journal,
-                               False, {})
+            executor._run_pool(FakePool(),
+                               BatchRun(programs, executor.options), False)
 
     def test_poll_and_drain_validation(self):
         executor = ParallelExecutor(fresh_cascade(), [], CHAOS.replace(
             poll_interval=0.0))
         with pytest.raises(ValueError, match="poll_interval"):
-            executor._run_pool(object(), [], [], None, False, {})
+            executor._run_pool(object(), BatchRun([], executor.options),
+                               False)
         executor = ParallelExecutor(fresh_cascade(), [], CHAOS.replace(
             drain_timeout=-1.0))
         with pytest.raises(ValueError, match="drain_timeout"):
-            executor._run_pool(object(), [], [], None, False, {})
+            executor._run_pool(object(), BatchRun([], executor.options),
+                               False)
 
 
 class TestFaultPlanKinds:
@@ -484,7 +483,7 @@ class TestFaultPlanKinds:
 
         serial = run_batch(fresh_cascade(), programs,
                            options.replace(checkpoint=serial_path))
-        parallel = run_parallel_batch(
+        parallel = api.convert_batch(
             fresh_cascade(), programs,
             options.replace(jobs=3, checkpoint=parallel_path))
         assert summaries(parallel) == summaries(serial)
